@@ -92,7 +92,7 @@ void bitflip_drill(ckpt::Session& session) {
   scrubber->scrub_now();  // make sure this epoch's baselines exist
   const ckpt::ScrubStats before = scrubber->stats();
   {
-    std::lock_guard<std::mutex> lock(scrubber->commit_exclusion());
+    std::lock_guard lock(scrubber->commit_exclusion());
     for (ckpt::ScrubRegion& region : session.unsafe_protocol().scrub_view()) {
       if (region.mirror.empty()) continue;
       region.bytes[region.bytes.size() / 3] ^= std::byte{0x04};

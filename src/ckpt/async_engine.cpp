@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "ckpt/scrubber.hpp"
 #include "ckpt/store_service.hpp"
 #include "telemetry/forensics.hpp"
 #include "telemetry/metrics.hpp"
@@ -145,8 +146,9 @@ void AsyncCommitEngine::run_job(const std::shared_ptr<CommitTicket::State>& stat
     CommitGate gate(store_service_, tenant_);
     util::WallTimer commit_timer;
     // Keep the scrubber out of the sealed buffers while the state machine
-    // rewrites them (it only try-locks, so this never waits on a pass).
-    std::unique_lock<std::mutex> scrub_lock;
+    // rewrites them. lock() announces this commit, so the cadence thread
+    // abandons its pass and this waits for at most the chunk CRC it is on.
+    std::unique_lock<CommitExclusion> scrub_lock;
     if (commit_exclusion_ != nullptr) {
       scrub_lock = std::unique_lock(*commit_exclusion_);
     }

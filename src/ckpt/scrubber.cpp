@@ -86,13 +86,14 @@ ScrubStats Scrubber::run_pass(bool blocking) {
   const std::size_t chunk = options_.chunk_bytes;
 
   // Per-chunk acquisition: a commit arriving mid-pass waits for at most one
-  // chunk CRC. The cadence thread only try-locks (it must never delay a
-  // commit); scrub_now blocks so tests get a deterministic full pass.
+  // chunk CRC. The cadence thread only try-locks, and not at all while a
+  // commit is announced (see CommitExclusion); scrub_now blocks so tests
+  // get a deterministic full pass.
   const auto acquire = [&] {
     std::unique_lock g(exclusion_, std::defer_lock);
     if (blocking) {
       g.lock();
-    } else {
+    } else if (!exclusion_.commit_waiting()) {
       (void)g.try_lock();
     }
     return g;
@@ -101,7 +102,7 @@ ScrubStats Scrubber::run_pass(bool blocking) {
   std::uint64_t epoch = 0;
   {
     const std::unique_lock g = acquire();
-    if (!g.owns_lock()) return delta;  // commit in flight: skip this tick
+    if (!g.owns_lock()) return delta;  // commit waiting or in flight: skip this tick
     epoch = protocol_.committed_epoch();
   }
 

@@ -15,14 +15,20 @@
 //   * Commits and scrub passes exclude each other through
 //     commit_exclusion(): the Session locks it around commit()/restore()
 //     (and hands it to the async engine for commit_staged()), while a
-//     pass re-acquires it PER CHUNK — a commit arriving mid-pass waits at
-//     most one 4 KiB CRC, not a full sweep, which is what keeps the scrub
-//     overhead on an encode-like workload under the 3% bench gate. A pass
-//     that observes the epoch advance between chunks abandons itself (the
-//     buffers it was reading were legitimately rewritten) and the next
-//     tick recaptures baselines. The cadence thread additionally only
-//     TRY-locks each chunk, so a held lock skips work instead of queueing
-//     behind the commit.
+//     pass re-acquires it PER CHUNK. A pass that observes the epoch
+//     advance between chunks abandons itself (the buffers it was reading
+//     were legitimately rewritten) and the next tick recaptures baselines.
+//
+//   * A commit announces itself before it blocks: CommitExclusion::lock()
+//     raises a waiter count, takes the mutex, then lowers the count. The
+//     cadence thread only TRY-locks each chunk and refuses — abandoning
+//     the pass — whenever a commit is announced, so a commit arriving
+//     mid-pass waits for at most the one 4 KiB chunk CRC in progress. A
+//     plain mutex gives no such bound: it does not favor a thread already
+//     waiting, and the cadence thread's try_lock right after its unlock
+//     wins the race against the commit it just woke, chunk after chunk.
+//     This is what keeps the scrub overhead on an encode-like workload
+//     under the 3% bench gate.
 //
 //   * A corrupt chunk whose region has a byte-identical mirror (e.g. the
 //     C/D checksum pair after a flush) is repaired in place by copying the
@@ -35,6 +41,7 @@
 // like every other metric.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -54,14 +61,41 @@ struct ScrubStats {
   std::uint64_t unrepaired = 0;           ///< corrupt chunks with no mirror
 };
 
+/// The commit/scrub exclusion lock (Lockable, so std::lock_guard and
+/// std::unique_lock work with it). lock() announces the caller as a
+/// waiting commit for as long as it blocks; try_lock() and unlock() pass
+/// straight through to the inner mutex. The scrubber's cadence thread
+/// reads commit_waiting() and yields instead of re-acquiring.
+class CommitExclusion {
+ public:
+  void lock() {
+    waiters_.fetch_add(1, std::memory_order_relaxed);
+    mutex_.lock();
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  bool try_lock() { return mutex_.try_lock(); }
+  void unlock() { mutex_.unlock(); }
+
+  /// True while some thread is inside lock(), i.e. waiting for (or just
+  /// taking) the mutex.
+  [[nodiscard]] bool commit_waiting() const {
+    return waiters_.load(std::memory_order_relaxed) != 0;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::atomic<int> waiters_{0};
+};
+
 class Scrubber {
  public:
   struct Options {
-    /// Cadence of the background thread; each tick try-locks the commit
-    /// exclusion and runs one full pass over every region.
+    /// Cadence of the background thread; each tick runs one full pass
+    /// over every region, try-locking the commit exclusion per chunk.
     double interval_s = 0.002;
-    /// Verification granularity. Smaller chunks localize repairs; larger
-    /// ones amortize the table-driven CRC better.
+    /// Verification granularity, and the most a commit waits on the
+    /// scrubber (one chunk CRC). Smaller chunks localize repairs and
+    /// shorten that wait; larger ones amortize the per-chunk locking.
     std::size_t chunk_bytes = 4096;
   };
 
@@ -75,9 +109,10 @@ class Scrubber {
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
-  /// The commit/scrub exclusion lock. Hold it for the duration of any
-  /// commit or restore so a pass never reads a half-rewritten buffer.
-  [[nodiscard]] std::mutex& commit_exclusion() { return exclusion_; }
+  /// The commit/scrub exclusion lock. Hold it (via lock(), which
+  /// announces the waiting commit) for the duration of any commit or
+  /// restore so a pass never reads a half-rewritten buffer.
+  [[nodiscard]] CommitExclusion& commit_exclusion() { return exclusion_; }
 
   /// Start the cadence thread (idempotent).
   void start();
@@ -101,15 +136,16 @@ class Scrubber {
 
   /// Runs one pass, re-acquiring exclusion_ per chunk. `blocking` selects
   /// lock() (scrub_now) vs try_lock() (cadence thread) per acquisition; a
-  /// failed try or a mid-pass epoch change abandons the pass. Holds
-  /// pass_mutex_ throughout, so passes themselves never interleave.
+  /// failed try, an announced commit, or a mid-pass epoch change abandons
+  /// the (non-blocking) pass. Holds pass_mutex_ throughout, so passes
+  /// themselves never interleave.
   ScrubStats run_pass(bool blocking);
   void thread_loop();
 
   CheckpointProtocol& protocol_;
   Options options_;
 
-  std::mutex exclusion_;
+  CommitExclusion exclusion_;
   /// Serializes whole passes (cadence thread vs. scrub_now) now that
   /// exclusion_ is only held per chunk. Lock order: pass_mutex_ before
   /// exclusion_; commits take exclusion_ alone, so no cycle exists.

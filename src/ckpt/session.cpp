@@ -227,7 +227,7 @@ CommitStats Session::commit() {
   // machine rewrites the sealed buffers it verifies.
   CommitGate gate(service_, tenant_);
   util::WallTimer timer;
-  std::unique_lock<std::mutex> scrub_lock;
+  std::unique_lock<CommitExclusion> scrub_lock;
   if (scrubber_ != nullptr) {
     scrub_lock = std::unique_lock(scrubber_->commit_exclusion());
   }

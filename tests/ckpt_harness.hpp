@@ -182,7 +182,7 @@ inline void checkpointed_app(mpi::Comm& world, const CkptAppConfig& config) {
       {
         // Flip under the commit-exclusion lock so the cadence thread never
         // observes a torn write (it may be scanning concurrently).
-        std::lock_guard<std::mutex> lock(session.scrubber()->commit_exclusion());
+        std::lock_guard lock(session.scrubber()->commit_exclusion());
         for (ckpt::ScrubRegion& region : session.unsafe_protocol().scrub_view()) {
           if (region.mirror.empty()) continue;
           region.bytes[region.bytes.size() / 2] ^= std::byte{0x10};

@@ -5,6 +5,7 @@
 // Session-owned scrubbers over live protocols inside the simulator.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -166,7 +167,7 @@ TEST(Scrubber, BackgroundCadenceThreadRepairsWhileRankIdles) {
     ScrubRegion region = first_mirrored(session.unsafe_protocol().scrub_view());
     std::byte original;
     {
-      std::lock_guard<std::mutex> lock(session.scrubber()->commit_exclusion());
+      std::lock_guard lock(session.scrubber()->commit_exclusion());
       original = region.bytes[64];
       region.bytes[64] ^= std::byte{0x20};
     }
@@ -179,11 +180,43 @@ TEST(Scrubber, BackgroundCadenceThreadRepairsWhileRankIdles) {
     EXPECT_GE(stats.repaired, 1u);
     EXPECT_EQ(stats.unrepaired, 0u);
     {
-      std::lock_guard<std::mutex> lock(session.scrubber()->commit_exclusion());
+      std::lock_guard lock(session.scrubber()->commit_exclusion());
       EXPECT_EQ(region.bytes[64], original);
     }
   });
   ASSERT_TRUE(result.completed) << result.abort_reason;
+}
+
+TEST(Scrubber, BlockedCommitAnnouncesItselfUntilItAcquires) {
+  // The flag the cadence thread yields to: lock() raises it for as long as
+  // it blocks and lowers it once it holds the mutex; try_lock() passes
+  // straight through without announcing anything.
+  CommitExclusion exclusion;
+  EXPECT_FALSE(exclusion.commit_waiting());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> acquired{false};
+  std::thread commit;
+  {
+    std::lock_guard held(exclusion);
+    commit = std::thread([&] {
+      std::lock_guard lock(exclusion);
+      acquired.store(true);
+    });
+    while (!exclusion.commit_waiting() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(exclusion.commit_waiting()) << "a blocked lock() never announced itself";
+    EXPECT_FALSE(acquired.load());  // still blocked behind `held`
+    bool tried = true;
+    std::thread([&] { tried = exclusion.try_lock(); }).join();
+    EXPECT_FALSE(tried);
+  }
+  while (!acquired.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(acquired.load()) << "the announced commit never acquired";
+  commit.join();
+  EXPECT_FALSE(exclusion.commit_waiting());
 }
 
 TEST(Scrubber, AsyncCommitsAndCadenceScrubberCoexistCleanly) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "util/crc32c.hpp"
 #include "util/format.hpp"
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
@@ -229,6 +233,78 @@ TEST(Options, ParsesForms) {
   EXPECT_EQ(o.positional()[0], "pos");
   EXPECT_EQ(o.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(o.get_double("a", 0.0), 1.0);
+}
+
+
+std::vector<std::byte> crc_bytes(std::size_t n, std::uint8_t (*gen)(std::size_t)) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::byte>(gen(i));
+  return out;
+}
+
+/// Bit-at-a-time CRC32C straight from the definition (reflected
+/// polynomial 0x82F63B78), the reference the table-driven one must match.
+std::uint32_t crc32c_bitwise(std::span<const std::byte> bytes, std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (const std::byte b : bytes) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+  }
+  return ~crc;
+}
+
+TEST(Crc32c, CheckValue) {
+  const std::string text = "123456789";
+  EXPECT_EQ(crc32c(std::as_bytes(std::span(text))), 0xE3069283u);
+}
+
+TEST(Crc32c, Rfc3720Vectors) {
+  // iSCSI (RFC 3720 appendix B.4) 32-byte test patterns.
+  EXPECT_EQ(crc32c(crc_bytes(32, [](std::size_t) -> std::uint8_t { return 0x00; })),
+            0x8A9136AAu);
+  EXPECT_EQ(crc32c(crc_bytes(32, [](std::size_t) -> std::uint8_t { return 0xFF; })),
+            0x62A8AB43u);
+  EXPECT_EQ(crc32c(crc_bytes(32, [](std::size_t i) { return static_cast<std::uint8_t>(i); })),
+            0x46DD794Eu);
+}
+
+TEST(Crc32c, EmptySpanReturnsSeed) {
+  EXPECT_EQ(crc32c({}), 0u);
+  EXPECT_EQ(crc32c({}, 0xDEADBEEFu), 0xDEADBEEFu);
+}
+
+TEST(Crc32c, ChainedSeedMatchesOneShotAtRaggedLengths) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(4095);
+  lengths.push_back(4097);
+  for (const std::size_t n : lengths) {
+    const std::vector<std::byte> data =
+        crc_bytes(n, [](std::size_t i) { return static_cast<std::uint8_t>(i * 167 + 13); });
+    const std::span<const std::byte> all(data);
+    const std::uint32_t one_shot = crc32c(all);
+    for (const std::size_t split : {std::size_t{0}, std::size_t{1}, n / 3, n / 2, n - 1, n}) {
+      const std::uint32_t chained = crc32c(all.subspan(split), crc32c(all.first(split)));
+      EXPECT_EQ(chained, one_shot) << "n=" << n << " split=" << split;
+    }
+  }
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAtRaggedLengthsAndOffsets) {
+  const std::vector<std::byte> data =
+      crc_bytes(4200, [](std::size_t i) { return static_cast<std::uint8_t>((i * i) ^ (i >> 3)); });
+  const std::span<const std::byte> all(data);
+  for (const std::size_t offset : {0u, 1u, 3u, 7u}) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      EXPECT_EQ(crc32c(all.subspan(offset, n), 0x1234u),
+                crc32c_bitwise(all.subspan(offset, n), 0x1234u))
+          << "offset=" << offset << " n=" << n;
+    }
+    for (const std::size_t n : {4095u, 4096u, 4097u}) {
+      EXPECT_EQ(crc32c(all.subspan(offset, n)), crc32c_bitwise(all.subspan(offset, n), 0))
+          << "offset=" << offset << " n=" << n;
+    }
+  }
 }
 
 }  // namespace
